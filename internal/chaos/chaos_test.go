@@ -64,6 +64,11 @@ func TestDeviceWriteBudgetTears(t *testing.T) {
 	if _, err := d.ReadAt(got[:1], 0); err != nil {
 		t.Fatalf("reads must survive a dead writer: %v", err)
 	}
+	// The budget trip is the one fault; ops failing on the dead device are
+	// its consequence, so the count does not depend on how many arrive.
+	if d.Injected() != 1 {
+		t.Fatalf("Injected = %d after a budget trip and two dead ops, want 1", d.Injected())
+	}
 }
 
 func TestDeviceNthOpReplayable(t *testing.T) {

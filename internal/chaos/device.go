@@ -26,7 +26,8 @@ type DeviceFaults struct {
 	// WriteBudget, when positive, is a byte budget after which the device
 	// goes permanently dead for writes and syncs — the power-cut shape
 	// disk.Fault models, here at a schedule-chosen point. The write that
-	// crosses the boundary is torn at the budget.
+	// crosses the boundary is torn at the budget and counts as the one
+	// injected fault; later writes and syncs fail without being counted.
 	WriteBudget int64
 	// TornWrites makes injected write errors land a schedule-chosen prefix
 	// of the buffer on the underlying device before failing, instead of
@@ -107,10 +108,19 @@ func (d *Device) Ops() (reads, writes, syncs int64) {
 	return d.reads, d.writes, d.syncs
 }
 
-// err builds the typed fault for the op at index n.
+// err builds the typed fault for the op at index n and counts it.
 func (d *Device) err(op string, n int64) error {
 	d.injected++
 	d.tel.Inc()
+	return &Error{Site: d.site, Op: op, N: n}
+}
+
+// deadErr is the typed fault for an op on a device whose write budget is
+// spent. It is not counted: the budget trip already was, and how many ops
+// reach a dead device depends on goroutine timing (parallel flushers may
+// each issue one more write), while the fault count must be a function of
+// (seed, site) alone.
+func (d *Device) deadErr(op string, n int64) error {
 	return &Error{Site: d.site, Op: op, N: n}
 }
 
@@ -149,7 +159,7 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	n := d.writes
 	stall := d.faults.StallProb > 0 && d.rng.Float64() < d.faults.StallProb
 	if d.dead {
-		err := d.err("write", n)
+		err := d.deadErr("write", n)
 		d.mu.Unlock()
 		return 0, err
 	}
@@ -203,7 +213,7 @@ func (d *Device) Sync() error {
 	n := d.syncs
 	stall := d.faults.StallProb > 0 && d.rng.Float64() < d.faults.StallProb
 	if d.dead {
-		err := d.err("sync", n)
+		err := d.deadErr("sync", n)
 		d.mu.Unlock()
 		return err
 	}

@@ -545,9 +545,20 @@ func (c *Cluster) CheckpointWorld() (*Manifest, error) {
 		// install the fresh image and drop the delta tail it supersedes, so
 		// replica RAM tracks one image plus dirty-since-cut ticks — the same
 		// retention shape as the disk checkpoints the manifest just recorded.
-		for _, n := range c.nodes {
-			if err := c.opts.PeerRAM.Refresh(n.Index); err != nil {
-				return nil, fmt.Errorf("cluster: node %d replica refresh: %w", n.Index, err)
+		// Each node's links ship independently, so the refreshes fan out
+		// like the cut above and the stall is the slowest node's.
+		var wg sync.WaitGroup
+		for i, n := range c.nodes {
+			wg.Add(1)
+			go func(i int, n *Node) {
+				defer wg.Done()
+				errs[i] = c.opts.PeerRAM.Refresh(n.Index)
+			}(i, n)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("cluster: node %d replica refresh: %w", c.nodes[i].Index, err)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/recovery"
+	"repro/internal/telemetry"
 )
 
 // Peer-RAM recovery: RecoverFromPeer is RecoverFrom with the restore side
@@ -23,7 +24,7 @@ type RecoverSource struct {
 	// Image restores the slab in place of the local A/B disk backups.
 	Image recovery.ImageSource
 	// Prelude returns a fresh tick-ordered stream of the records since the
-	// image's cut. It is called at least twice — once to feed the restore
+	// image's cut. It is called up to twice — once to feed the restore
 	// pipeline and once to heal the local log — so each call must yield an
 	// independent iteration over the same records.
 	Prelude func() (recovery.RecordSource, error)
@@ -84,93 +85,89 @@ func RecoverFromPeer(opts Options, src RecoverSource) (*Engine, recovery.Paralle
 //     records, so the restored slab itself is persisted as a complete
 //     bootstrap image — same protocol as a standby bootstrap — and disk
 //     recovery restarts from that image.
+//
+// The heal is one pass over the prelude. With an intact local WAL (the
+// common process crash) it appends nothing and writes nothing, so its cost
+// is that pass alone; it is recorded as the recovery/heal span.
 func (e *Engine) healFromPeer(src *RecoverSource, pres recovery.ParallelResult) error {
 	if e.tick == 0 {
 		return nil // empty world: nothing restored, nothing to heal
 	}
+	sp := telemetry.StartSpan("recovery/heal")
+	missing, ok, err := walSuffix(src, pres)
+	if err != nil {
+		sp.End()
+		return err
+	}
+	if !ok {
+		err = e.writeBootstrapImage(e.tick - 1)
+		sp.End(telemetry.Int("appended", 0), telemetry.Int("bootstrap", 1))
+		return err
+	}
+	for _, r := range missing {
+		if err = e.log.Append(r.tick, r.payload); err != nil {
+			break
+		}
+	}
+	if err == nil && len(missing) > 0 {
+		err = e.log.Sync()
+	}
+	sp.End(telemetry.Int("appended", int64(len(missing))), telemetry.Int("bootstrap", 0))
+	return err
+}
+
+// peerRecord is one prelude record the local WAL is missing.
+type peerRecord struct {
+	tick    uint64
+	payload []byte
+}
+
+// walSuffix returns the prelude records the local WAL is missing, in order,
+// or ok=false when appending records cannot make the log gapless through
+// the restored tick.
+func walSuffix(src *RecoverSource, pres recovery.ParallelResult) (missing []peerRecord, ok bool, err error) {
 	floor := uint64(0) // first tick the peer image does not cover
 	if pres.Restored {
 		floor = pres.AsOfTick + 1
 	}
-
-	// Decide whether appending records can close the gap, and how many
-	// records at the WAL's final tick are already present locally.
-	canAppend := false
-	skipAtLast := 0
-	if !pres.SawLogTick {
-		// Empty local WAL: gapless iff the peer's records start at tick 0.
-		canAppend = floor == 0
-	} else if floor <= pres.LastLogTick {
-		// Overlap: count the peer's records at the WAL's final tick. Equal
-		// counts mean the WAL is intact through that tick; a larger peer
-		// count means the final tick is torn and the suffix must be
-		// appended; a smaller count means the peer stream is behind the
-		// local log inside a shared tick, which commit gating rules out —
-		// treat it as unverifiable.
-		rs, err := src.Prelude()
-		if err != nil {
-			return err
-		}
-		peerAtLast := 0
-		covered := false
-		for {
-			tick, _, ok, err := rs.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if tick == pres.LastLogTick {
-				peerAtLast++
-				covered = true
-			} else if tick > pres.LastLogTick {
-				covered = true
-			}
-		}
-		if covered && peerAtLast >= pres.LastTickRecords {
-			canAppend = true
-			skipAtLast = pres.LastTickRecords
-		}
+	// An empty local WAL is gapless only if the peer's records start at
+	// tick 0. Otherwise the peer must share the WAL's final tick: at
+	// floor == LastLogTick+1 (abutting) it cannot vouch for that tick, and
+	// past it there is a hole no record fills.
+	if pres.SawLogTick && floor > pres.LastLogTick || !pres.SawLogTick && floor != 0 {
+		return nil, false, nil
 	}
-	// floor == LastLogTick+1 (abutting, no shared tick to verify) and
-	// floor > LastLogTick+1 (a hole) both fall through with canAppend
-	// false: the peer cannot vouch for the WAL's final tick, or cannot
-	// fill the hole at all.
-
-	if !canAppend {
-		return e.writeBootstrapImage(e.tick - 1)
-	}
-
 	rs, err := src.Prelude()
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	appended := false
+	atLast := 0 // peer records at the WAL's final tick
 	for {
-		tick, payload, ok, err := rs.Next()
+		tick, payload, more, err := rs.Next()
 		if err != nil {
-			return err
+			return nil, false, err
 		}
-		if !ok {
+		if !more {
 			break
 		}
 		if pres.SawLogTick {
 			if tick < pres.LastLogTick {
 				continue // already in the local log
 			}
-			if tick == pres.LastLogTick && skipAtLast > 0 {
-				skipAtLast--
-				continue // local copy intact; skip the peer's duplicate
+			if tick == pres.LastLogTick {
+				if atLast++; atLast <= pres.LastTickRecords {
+					continue // local copy intact; skip the peer's duplicate
+				}
 			}
 		}
-		if err := e.log.Append(tick, payload); err != nil {
-			return err
-		}
-		appended = true
+		missing = append(missing, peerRecord{tick, payload})
 	}
-	if appended {
-		return e.log.Sync()
+	// Equal counts at the final tick mean the WAL is intact through it; a
+	// larger peer count means the tick is torn and the suffix above heals
+	// it; a smaller count means the peer stream is behind the local log
+	// inside a shared tick, which commit gating rules out — unverifiable.
+	if pres.SawLogTick && atLast < pres.LastTickRecords {
+		return nil, false, nil
 	}
-	return nil
+	return missing, true, nil
 }

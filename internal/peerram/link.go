@@ -117,31 +117,35 @@ func (s *Sender) run() {
 	s.sub.Close()
 }
 
+// frameBufs are the ship goroutine's reusable frame buffers: body is
+// built (header, then the compressed payload deflated straight into it)
+// and scratch is WriteFrame's length+CRC staging copy.
+type frameBufs struct{ body, scratch []byte }
+
 // shipImage snapshots the engine, compresses the slab, and ships it as one
 // image frame. It returns the image floor (the first tick the image does
 // not cover) so the delta stream can skip everything below it.
-func (s *Sender) shipImage(scratch *[]byte) (uint64, error) {
+func (s *Sender) shipImage(fb *frameBufs) (uint64, error) {
 	nextTick, snap, err := s.e.Snapshot()
 	if err != nil {
 		return 0, err
 	}
 	epoch := s.e.CheckpointEpoch()
-	comp, err := deflate(snap)
-	if err != nil {
-		return 0, err
-	}
-	body := make([]byte, 0, 25+len(comp))
-	body = append(body, replication.FrameReplicaImage)
+	const hdr = 25
+	body := append(fb.body[:0], replication.FrameReplicaImage)
 	body = binary.LittleEndian.AppendUint64(body, epoch)
 	body = binary.LittleEndian.AppendUint64(body, nextTick)
 	body = binary.LittleEndian.AppendUint64(body, uint64(len(snap)))
-	body = append(body, comp...)
-	if *scratch, err = replication.WriteFrame(s.conn, *scratch, body); err != nil {
+	if body, err = deflate(body, snap); err != nil {
+		return 0, err
+	}
+	fb.body = body
+	if fb.scratch, err = replication.WriteFrame(s.conn, fb.scratch, body); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
 	s.stats.ImagesShipped++
-	s.stats.ImageBytes = int64(len(comp))
+	s.stats.ImageBytes = int64(len(body) - hdr)
 	s.mu.Unlock()
 	return nextTick, nil
 }
@@ -149,8 +153,8 @@ func (s *Sender) shipImage(scratch *[]byte) (uint64, error) {
 // ship is the sender's main line: initial image, then the commit-gated
 // bundle loop tail-following the engine's WAL.
 func (s *Sender) ship() error {
-	var scratch []byte
-	floor, err := s.shipImage(&scratch)
+	var fb frameBufs
+	floor, err := s.shipImage(&fb)
 	if err != nil {
 		return err
 	}
@@ -172,24 +176,24 @@ func (s *Sender) ship() error {
 		if !have {
 			return nil
 		}
-		comp, err := deflate(recs)
+		const hdr = 17
+		body := append(fb.body[:0], replication.FrameReplicaDelta)
+		body = binary.LittleEndian.AppendUint64(body, cur)
+		body = binary.LittleEndian.AppendUint64(body, uint64(len(recs)))
+		body, err := deflate(body, recs)
 		if err != nil {
 			return err
 		}
+		fb.body = body
 		if err := s.waitLag(cur, floor); err != nil {
 			return err
 		}
-		body := make([]byte, 0, 17+len(comp))
-		body = append(body, replication.FrameReplicaDelta)
-		body = binary.LittleEndian.AppendUint64(body, cur)
-		body = binary.LittleEndian.AppendUint64(body, uint64(len(recs)))
-		body = append(body, comp...)
-		if scratch, err = replication.WriteFrame(s.conn, scratch, body); err != nil {
+		if fb.scratch, err = replication.WriteFrame(s.conn, fb.scratch, body); err != nil {
 			return err
 		}
 		s.mu.Lock()
 		s.stats.DeltaTicks++
-		s.stats.DeltaBytes += int64(len(comp))
+		s.stats.DeltaBytes += int64(len(body) - hdr)
 		s.mu.Unlock()
 		have, recs = false, recs[:0]
 		return nil
@@ -239,7 +243,7 @@ func (s *Sender) ship() error {
 		case <-s.stop:
 			return nil
 		case reply := <-s.refresh:
-			nt, err := s.shipImage(&scratch)
+			nt, err := s.shipImage(&fb)
 			if err != nil {
 				reply <- err
 				return err

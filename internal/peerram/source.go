@@ -15,6 +15,11 @@ import (
 // serving goes through the store's liveness accounting, so a holder that
 // dies mid-restore — really or through the chaos hook — surfaces as
 // ErrReplicaGone on the next read instead of handing out stale bytes.
+//
+// Every replica byte is decoded at most once per source: the image is
+// inflated once (straight into the slab when one range covers it), and each
+// delta bundle is inflated on the first Records pass that reaches it and
+// kept, so the pipeline's pass and the WAL heal's pass cost one inflate.
 type RestoreSource struct {
 	store *Store
 	owner int
@@ -23,6 +28,10 @@ type RestoreSource struct {
 	once   sync.Once
 	raw    []byte // inflated image
 	rawErr error
+
+	mu       sync.Mutex
+	bundles  [][]byte // inflated delta bundles by index; nil until first served
+	inflates int      // delta bundles inflated so far
 }
 
 // NewRestoreSource snapshots owner's replica in store and wraps it for the
@@ -67,6 +76,11 @@ func (s *RestoreSource) ReadRange(lo, hi int, dst []byte) error {
 	if err := s.store.spend(s.owner, int64(len(dst))); err != nil {
 		return err
 	}
+	if lo == 0 && len(dst) == s.rep.rawLen {
+		// One range is the whole image (a single-shard plan): inflate
+		// straight into the slab instead of into a shared copy of it.
+		return inflateInto(dst, s.rep.image)
+	}
 	if err := s.materialize(); err != nil {
 		return err
 	}
@@ -80,7 +94,9 @@ func (s *RestoreSource) ReadRange(lo, hi int, dst []byte) error {
 
 // Records returns a fresh tick-ordered iteration over the replica's delta
 // records. Each call restarts from the first bundle, so the restore
-// pipeline and the WAL heal can each take their own pass.
+// pipeline and the WAL heal can each take their own pass; every call checks
+// that the holder is still alive, but only the first pass over a bundle
+// inflates it and charges its bytes to the holder.
 func (s *RestoreSource) Records() (recovery.RecordSource, error) {
 	if err := s.store.spend(s.owner, 0); err != nil {
 		return nil, err
@@ -88,9 +104,34 @@ func (s *RestoreSource) Records() (recovery.RecordSource, error) {
 	return &recordIter{src: s}, nil
 }
 
-// recordIter walks the delta bundles, inflating each into a fresh buffer
-// (fanned-out payloads must outlive the iterator) and splitting it into the
-// u32-length-prefixed records the sender packed.
+// bundle returns delta bundle i inflated. The buffer is kept for later
+// passes: the RecordSource contract already keeps payloads alive for the
+// whole recovery, and the holder served those bytes once.
+func (s *RestoreSource) bundle(i int) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bundles == nil {
+		s.bundles = make([][]byte, len(s.rep.deltas))
+	}
+	if b := s.bundles[i]; b != nil {
+		return b, nil
+	}
+	d := s.rep.deltas[i]
+	if err := s.store.spend(s.owner, int64(d.rawLen)); err != nil {
+		return nil, err
+	}
+	raw, err := inflate(d.comp, d.rawLen)
+	if err != nil {
+		return nil, err
+	}
+	s.bundles[i] = raw
+	s.inflates++
+	return raw, nil
+}
+
+// recordIter walks the delta bundles and splits each into the
+// u32-length-prefixed records the sender packed. Payloads alias the
+// source's bundle buffers, which outlive the iterator.
 type recordIter struct {
 	src  *RestoreSource
 	next int    // next bundle index
@@ -105,16 +146,12 @@ func (it *recordIter) Next() (tick uint64, payload []byte, ok bool, err error) {
 		if it.next >= len(it.src.rep.deltas) {
 			return 0, nil, false, nil
 		}
-		d := it.src.rep.deltas[it.next]
-		it.next++
-		if err := it.src.store.spend(it.src.owner, int64(d.rawLen)); err != nil {
-			return 0, nil, false, err
-		}
-		raw, err := inflate(d.comp, d.rawLen)
+		raw, err := it.src.bundle(it.next)
 		if err != nil {
 			return 0, nil, false, err
 		}
-		it.buf, it.off, it.tick = raw, 0, d.tick
+		it.buf, it.off, it.tick = raw, 0, it.src.rep.deltas[it.next].tick
+		it.next++
 	}
 	if it.off+4 > len(it.buf) {
 		return 0, nil, false, fmt.Errorf("peerram: truncated bundle at tick %d", it.tick)

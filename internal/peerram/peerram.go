@@ -36,10 +36,6 @@ type Options struct {
 	// K is the number of peers holding each partition's replica, clamped to
 	// the cluster size minus one. <=0 means DefaultK.
 	K int
-	// MaxLagTicks and IdlePoll configure every link's sender; zero values
-	// take the SenderOptions defaults.
-	MaxLagTicks int
-	IdlePoll    time.Duration
 }
 
 // link is one (owner → holder) replica stream.
@@ -122,11 +118,10 @@ func (m *Mesh) Attach(owner int, e *engine.Engine) error {
 	if len(m.links[owner]) > 0 {
 		return fmt.Errorf("peerram: node %d already attached", owner)
 	}
-	sopts := SenderOptions{MaxLagTicks: m.opts.MaxLagTicks, IdlePoll: m.opts.IdlePoll}
 	for _, h := range m.Holders(owner) {
 		sc, hc := net.Pipe()
-		recv := StartHolder(owner, m.stores[h], hc)
-		sender, err := StartSender(e, sc, sopts)
+		recv := StartHolder(owner, len(e.Store().Slab()), m.stores[h], hc)
+		sender, err := StartSender(e, sc)
 		if err != nil {
 			recv.Stop() //nolint:errcheck // unwinding
 			m.detachLocked(owner)

@@ -408,6 +408,14 @@ func TestRestoreFaultInDeltaTail(t *testing.T) {
 		if err := e.ApplyTick(randomBatch(rng, uint32(tab.NumCells()), 40)); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			// The initial image ships in the background at whatever tick
+			// the sender reaches first; once the holder covers tick 0, the
+			// remaining ticks can only reach it as delta bundles.
+			if err := mesh.Drain(0, 0, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	want := append([]byte(nil), e.Store().Slab()...)
 	if err := mesh.Drain(0, ticks-1, 5*time.Second); err != nil {

@@ -131,11 +131,23 @@ func readFrame(r io.Reader, buf []byte) (body, nextBuf []byte, err error) {
 	if length == 0 || length > maxFrameSize {
 		return nil, buf, fmt.Errorf("replication: frame length %d out of range", length)
 	}
-	if cap(buf) < int(length) {
-		buf = make([]byte, length)
+	n, got := int(length), 0
+	if cap(buf) < n {
+		// Allocate by the declared length only once a bounded head of the
+		// body has arrived, so a short stream behind a lying header fails
+		// before anything large is allocated.
+		head := min(n, 64<<10)
+		if cap(buf) < head {
+			buf = make([]byte, head)
+		}
+		if _, err := io.ReadFull(r, buf[:head]); err != nil {
+			return nil, buf, err
+		}
+		buf = append(make([]byte, 0, n), buf[:head]...)
+		got = head
 	}
-	body = buf[:length]
-	if _, err := io.ReadFull(r, body); err != nil {
+	body = buf[:n]
+	if _, err := io.ReadFull(r, body[got:]); err != nil {
 		return nil, buf, err
 	}
 	if crc32.ChecksumIEEE(body) != wantCRC {
@@ -238,7 +250,7 @@ func encodeHello(typ byte, h hello) []byte {
 func decodeHello(typ byte, body []byte) (hello, error) {
 	var h hello
 	if len(body) != 1+len(magic)+16 || body[0] != typ {
-		return h, fmt.Errorf("replication: malformed handshake frame (type %d, %d bytes)", body[0], len(body))
+		return h, fmt.Errorf("replication: malformed handshake frame (%d bytes, type % x)", len(body), body[:min(len(body), 1)])
 	}
 	if [8]byte(body[1:9]) != magic {
 		return h, errors.New("replication: peer is not speaking this protocol version")
@@ -250,10 +262,49 @@ func decodeHello(typ byte, body []byte) (hello, error) {
 	return h, nil
 }
 
+// check compares the geometries. A mismatch is fatal: geometry never
+// changes, so redialing cannot help.
 func (h hello) check(peer hello) error {
 	if h != peer {
-		return fmt.Errorf("replication: geometry mismatch: local %d×%dB objects (cell %dB), peer %d×%dB (cell %dB)",
-			h.objects, h.objSize, h.cellSize, peer.objects, peer.objSize, peer.cellSize)
+		return &fatalError{fmt.Errorf("replication: geometry mismatch: local %d×%dB objects (cell %dB), peer %d×%dB (cell %dB)",
+			h.objects, h.objSize, h.cellSize, peer.objects, peer.objSize, peer.cellSize)}
+	}
+	return nil
+}
+
+// greet is the sending end's handshake: hello out, then the peer's welcome
+// back carrying the same geometry.
+func greet(conn io.ReadWriter, local hello) error {
+	if _, err := writeFrame(conn, nil, encodeHello(ftHello, local)); err != nil {
+		return fmt.Errorf("replication: handshake: %w", err)
+	}
+	body, _, err := readFrame(conn, nil)
+	if err != nil {
+		return fmt.Errorf("replication: handshake: %w", err)
+	}
+	peer, err := decodeHello(ftWelcome, body)
+	if err != nil {
+		return err
+	}
+	return local.check(peer)
+}
+
+// answer is the receiving end's handshake: the peer's hello in, checked
+// against the local geometry, then the welcome out.
+func answer(conn io.ReadWriter, local hello) error {
+	body, _, err := readFrame(conn, nil)
+	if err != nil {
+		return fmt.Errorf("replication: handshake: %w", err)
+	}
+	peer, err := decodeHello(ftHello, body)
+	if err != nil {
+		return err
+	}
+	if err := local.check(peer); err != nil {
+		return err
+	}
+	if _, err := writeFrame(conn, nil, encodeHello(ftWelcome, local)); err != nil {
+		return fmt.Errorf("replication: handshake: %w", err)
 	}
 	return nil
 }
@@ -275,8 +326,8 @@ func u64Frame(typ byte, v uint64) []byte {
 // decodeU64 parses a type-plus-u64 body.
 func decodeU64(typ byte, body []byte) (uint64, error) {
 	if len(body) != 9 || body[0] != typ {
-		return 0, fmt.Errorf("replication: malformed frame (want type %d, got type %d, %d bytes)",
-			typ, body[0], len(body))
+		return 0, fmt.Errorf("replication: malformed frame (want type %d, got %d bytes: % x)",
+			typ, len(body), body[:min(len(body), 9)])
 	}
 	return binary.LittleEndian.Uint64(body[1:]), nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 
 	"repro/internal/wal"
 )
@@ -52,74 +51,31 @@ func (g RangeGeometry) hello() hello {
 // bytes returns the range's size on the wire.
 func (g RangeGeometry) bytes() int { return (g.Hi - g.Lo) * g.ObjSize }
 
-// RangeSender is the source side of a range transfer. All methods are
-// called from one goroutine (the cluster coordinator, between ticks); a
-// background loop consumes the receiver's acks.
+// RangeSender is the source side of a range transfer: a frame encoder over
+// an unbounded Stream whose watermark is the receiver's staged tick plus
+// one. All methods are called from one goroutine (the cluster coordinator,
+// between ticks); the stream's ack loop consumes the receiver's acks.
 type RangeSender struct {
 	conn    net.Conn
+	st      *Stream
 	scratch []byte
 	frame   []byte
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	acked    uint64
-	hasAcked bool
-	err      error
 }
 
 // NewRangeSender performs the geometry handshake (hello ⇄ welcome) and
 // starts the ack loop. The receiver must be running on the other end.
 func NewRangeSender(conn net.Conn, g RangeGeometry) (*RangeSender, error) {
+	if err := greet(conn, g.hello()); err != nil {
+		return nil, err
+	}
 	s := &RangeSender{conn: conn}
-	s.cond = sync.NewCond(&s.mu)
-	var err error
-	local := g.hello()
-	if s.scratch, err = writeFrame(conn, s.scratch, encodeHello(ftHello, local)); err != nil {
-		return nil, fmt.Errorf("replication: range handshake: %w", err)
-	}
-	body, _, err := readFrame(conn, nil)
-	if err != nil {
-		return nil, fmt.Errorf("replication: range handshake: %w", err)
-	}
-	peer, err := decodeHello(ftWelcome, body)
-	if err != nil {
-		return nil, err
-	}
-	if err := local.check(peer); err != nil {
-		return nil, err
-	}
-	go s.ackLoop()
-	return s, nil
-}
-
-func (s *RangeSender) ackLoop() {
-	var buf []byte
-	for {
-		body, nbuf, err := readFrame(s.conn, buf)
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		buf = nbuf
+	s.st = NewStream(conn, nil, 0, func(body []byte) (uint64, error) {
 		tick, err := decodeU64(ftAck, body)
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		s.mu.Lock()
-		s.acked, s.hasAcked = tick, true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-func (s *RangeSender) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
+		return tick + 1, err
+	})
+	s.st.Open(0)
+	s.st.Go(nil)
+	return s, nil
 }
 
 // SendSnapshot ships the range bytes, consistent as of nextTick-1, in
@@ -155,36 +111,13 @@ func (s *RangeSender) SendCut(cutTick uint64) error {
 
 // AwaitApplied blocks until the receiver has staged every tick up to and
 // including tick, or the session fails.
-func (s *RangeSender) AwaitApplied(tick uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.hasAcked && s.acked >= tick {
-			return nil
-		}
-		if s.err != nil {
-			return s.err
-		}
-		s.cond.Wait()
-	}
-}
-
-// Applied returns the receiver's staged high-water tick.
-func (s *RangeSender) Applied() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked, s.hasAcked
-}
+func (s *RangeSender) AwaitApplied(tick uint64) error { return s.st.AwaitAck(tick, 0) }
 
 // Err returns the first session error, nil while healthy.
-func (s *RangeSender) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+func (s *RangeSender) Err() error { return s.st.Err() }
 
-// Close tears the session down (the ack loop exits on the closed conn).
-func (s *RangeSender) Close() error { return s.conn.Close() }
+// Close tears the session down.
+func (s *RangeSender) Close() error { return s.st.Stop() }
 
 // RangeReceiver is the target side: it stages the snapshot and the streamed
 // ticks into a side buffer and acknowledges progress. Run blocks until the
@@ -221,24 +154,13 @@ func (r *RangeReceiver) Run() error {
 }
 
 func (r *RangeReceiver) run() error {
-	local := r.geom.hello()
-	var scratch []byte
-	body, rbuf, err := readFrame(r.conn, nil)
-	if err != nil {
-		return fmt.Errorf("replication: range handshake: %w", err)
-	}
-	peer, err := decodeHello(ftHello, body)
-	if err != nil {
+	if err := answer(r.conn, r.geom.hello()); err != nil {
 		return err
-	}
-	if err := local.check(peer); err != nil {
-		return err
-	}
-	if scratch, err = writeFrame(r.conn, scratch, encodeHello(ftWelcome, local)); err != nil {
-		return fmt.Errorf("replication: range handshake: %w", err)
 	}
 
 	// Bootstrap: the range snapshot.
+	var body, rbuf, scratch []byte
+	var err error
 	r.nextTick, r.buf, rbuf, err = recvSnapshot(r.conn, rbuf, uint64(r.geom.bytes()))
 	if err != nil {
 		return err
@@ -329,3 +251,10 @@ func WriteFrame(w io.Writer, scratch, body []byte) ([]byte, error) {
 func ReadFrame(r io.Reader, buf []byte) (body, nextBuf []byte, err error) {
 	return readFrame(r, buf)
 }
+
+// U64Frame and DecodeU64 expose the type-plus-u64 frame body (acks,
+// watermarks) to the protocols riding this framing.
+func U64Frame(typ byte, v uint64) []byte { return u64Frame(typ, v) }
+
+// DecodeU64 parses a U64Frame body of type typ.
+func DecodeU64(typ byte, body []byte) (uint64, error) { return decodeU64(typ, body) }

@@ -74,134 +74,111 @@ func (f *fatalError) Unwrap() error { return f.err }
 // dial is called once per session attempt. The standby stops retrying on a
 // fatal error, after ropts.MaxSessions attempts, or on Promote/Close.
 func StartResilientStandby(opts engine.Options, dial func() (net.Conn, error), ropts ResilientOptions) (*Standby, error) {
-	if err := opts.Table.Validate(); err != nil {
-		return nil, err
-	}
 	if dial == nil {
 		return nil, errors.New("replication: resilient standby needs a dial function")
 	}
-	sb := &Standby{
-		opts:  opts,
-		dial:  dial,
-		ropts: ropts,
-		stop:  make(chan struct{}),
-		ready: make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go sb.run()
-	return sb, nil
+	return startStandby(opts, nil, dial, ropts)
 }
 
-// runResilient is the reconnecting session loop: dial, serve, classify the
-// end cause, back off, repeat. Called from run with done-closing deferred.
-func (sb *Standby) runResilient() {
-	b := sb.ropts.Backoff
-	var lastErr error
-	for {
+// redial is the reconnecting session loop under both resilient ends: dial,
+// run one session, back off, repeat. It returns nil once stop closes, a
+// session's *fatalError as is, and a gave-up error after ropts.MaxSessions
+// attempts; lastErr is the latest dial or session error. attempt is told
+// each attempt's number; a session that reports progress resets the
+// backoff, so a healthy-again link is retried eagerly.
+func redial(who string, stop <-chan struct{}, dial func() (net.Conn, error), ropts ResilientOptions,
+	attempt func(n int), session func(net.Conn) (progressed bool, err error)) (lastErr, err error) {
+	b := ropts.Backoff
+	for n := 0; ; {
 		select {
-		case <-sb.stop:
-			sb.seal(stopCause(lastErr))
-			return
+		case <-stop:
+			return lastErr, nil
 		default:
 		}
-		sb.mu.Lock()
-		if sb.ropts.MaxSessions > 0 && sb.stats.Sessions >= sb.ropts.MaxSessions {
-			n := sb.stats.Sessions
-			sb.mu.Unlock()
-			sb.seal(fmt.Errorf("replication: standby gave up after %d sessions: %w", n, lastErr))
-			return
+		if ropts.MaxSessions > 0 && n >= ropts.MaxSessions {
+			return lastErr, fmt.Errorf("replication: %s gave up after %d sessions: %w", who, n, lastErr)
 		}
-		sb.stats.Sessions++
-		sb.mu.Unlock()
-
-		conn, err := sb.dial()
-		if err != nil {
+		n++
+		attempt(n)
+		if conn, err := dial(); err != nil {
 			lastErr = err
-			if !sb.sleep(b.Next()) {
-				sb.seal(stopCause(lastErr))
-				return
+		} else {
+			var progressed bool
+			progressed, lastErr = session(conn)
+			select {
+			case <-stop: // Stop/Promote/Close cut this very session: not a retry
+				return lastErr, nil
+			default:
 			}
-			continue
+			var fe *fatalError
+			if errors.As(lastErr, &fe) {
+				return lastErr, lastErr
+			}
+			if progressed {
+				b.Reset()
+			}
 		}
+		t := time.NewTimer(b.Next())
+		select {
+		case <-stop:
+			t.Stop()
+			return lastErr, nil
+		case <-t.C:
+		}
+	}
+}
+
+// runResilient is the standby's reconnecting session loop. Called from run
+// with done-closing deferred.
+func (sb *Standby) runResilient() {
+	lastErr, err := redial("standby", sb.stop, sb.dial, sb.ropts, func(n int) {
+		sb.mu.Lock()
+		sb.stats.Sessions = n
+		sb.mu.Unlock()
+	}, func(conn net.Conn) (bool, error) {
 		sb.mu.Lock()
 		sb.conn = conn
 		before := sb.stats.TicksApplied
 		sb.mu.Unlock()
-		err = sb.serveConn(conn)
+		err := sb.serveConn(conn)
 		conn.Close() //nolint:errcheck
-		lastErr = err
-
-		select {
-		case <-sb.stop: // Promote/Close cut this very session: not a retry
-			sb.seal(stopCause(lastErr))
-			return
-		default:
-		}
 		var fe *fatalError
-		if errors.As(err, &fe) {
-			sb.seal(err)
-			return
-		}
 		sb.mu.Lock()
-		sb.stats.Reconnects++
-		progressed := sb.stats.TicksApplied > before
-		sb.mu.Unlock()
-		if progressed {
-			b.Reset()
+		defer sb.mu.Unlock()
+		if !sb.stopping && !errors.As(err, &fe) {
+			sb.stats.Reconnects++
 		}
-		if !sb.sleep(b.Next()) {
-			sb.seal(stopCause(lastErr))
-			return
-		}
+		return sb.stats.TicksApplied > before, err
+	})
+	// A deliberate shutdown seals with the last stream error if one exists
+	// (the plain standby's "ended by some error" contract), else a plain
+	// stopped marker.
+	if err == nil {
+		err = lastErr
 	}
-}
-
-// sleep waits d or until the stop channel closes; it reports whether the
-// loop should continue.
-func (sb *Standby) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-sb.stop:
-		return false
-	case <-t.C:
-		return true
+	if err == nil {
+		err = errors.New("replication: standby stopped")
 	}
-}
-
-// stopCause is the seal error for a deliberate shutdown: the last stream
-// error if one exists (mirrors the plain standby's "ended by some error"
-// contract), else a plain stopped marker.
-func stopCause(lastErr error) error {
-	if lastErr != nil {
-		return lastErr
-	}
-	return errors.New("replication: standby stopped")
+	sb.seal(err)
 }
 
 // ResilientShipper keeps one primary engine streaming to a (re)connecting
 // standby across connection failures. Each session is a plain Shipper; the
-// supervisor's own tick subscription pins the primary's log retention at
-// the standby's acknowledged watermark BETWEEN sessions, so the records a
-// cut left unacknowledged are still there when the standby redials and
+// supervisor is a connection-less Stream whose watermark folds every
+// session's acks, so its tick subscription pins the primary's log retention
+// at the standby's acknowledged watermark BETWEEN sessions, and the records
+// a cut left unacknowledged are still there when the standby redials and
 // resumes.
 type ResilientShipper struct {
 	e     *engine.Engine
 	dial  func() (net.Conn, error)
 	opts  ShipperOptions
 	ropts ResilientOptions
-	sub   *engine.TickSub // retention pin: always acked+1
+	st    *Stream // watermark: the standby's acked tick + 1 across sessions
 
 	mu       sync.Mutex
 	cur      *Shipper
-	acked    uint64
-	hasAcked bool
 	sessions int
-	err      error
-	stopped  bool
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // StartResilientShipper attaches a reconnecting shipper to a live engine.
@@ -221,134 +198,83 @@ func StartResilientShipper(e *engine.Engine, dial func() (net.Conn, error), opts
 		dial:  dial,
 		opts:  opts,
 		ropts: ropts,
-		sub:   sub,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		st:    NewStream(nil, sub, 0, nil),
 	}
-	go r.run()
+	r.st.Go(r.run)
 	return r, nil
 }
 
-func (r *ResilientShipper) run() {
-	defer close(r.done)
-	defer r.sub.Close()
-	b := r.ropts.Backoff
-	var lastErr error
-	for {
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
+func (r *ResilientShipper) run() error {
+	_, err := redial("shipper", r.st.stop, r.dial, r.ropts, func(n int) {
 		r.mu.Lock()
-		if r.ropts.MaxSessions > 0 && r.sessions >= r.ropts.MaxSessions {
-			n := r.sessions
-			if r.err == nil {
-				r.err = fmt.Errorf("replication: shipper gave up after %d sessions: %w", n, lastErr)
-			}
-			r.mu.Unlock()
-			return
-		}
-		r.sessions++
-		resumed := r.sessions > 1
+		r.sessions = n
 		r.mu.Unlock()
-		if resumed {
+		if n > 1 {
 			telResumes.Inc()
 		}
-
-		conn, err := r.dial()
-		if err != nil {
-			lastErr = err
-			if !r.sleep(b.Next()) {
-				return
-			}
-			continue
-		}
+	}, func(conn net.Conn) (bool, error) {
 		sh, err := StartShipper(r.e, conn, r.opts)
 		if err != nil {
 			conn.Close() //nolint:errcheck
-			lastErr = err
-			if !r.sleep(b.Next()) {
-				return
-			}
-			continue
+			return false, err
 		}
 		r.mu.Lock()
 		r.cur = sh
-		base := r.acked
-		hasBase := r.hasAcked
 		r.mu.Unlock()
-
-		progressed := r.watch(sh, base, hasBase)
+		before, _ := r.st.watermark()
+		r.watch(sh)
 		r.mu.Lock()
 		r.cur = nil
 		r.mu.Unlock()
-		lastErr = sh.Err()
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
-		if progressed {
-			b.Reset()
-		}
-		if !r.sleep(b.Next()) {
-			return
-		}
-	}
+		after, ok := r.st.watermark()
+		return ok && after > before, sh.Err() // progress: the watermark moved
+	})
+	return err
 }
 
 // watch follows one session until it ends or Stop: it folds the session's
 // acks into the supervisor watermark every poll so the retention pin and
-// AwaitAck observers track a live session, not just finished ones. It
-// reports whether the session advanced the watermark.
-func (r *ResilientShipper) watch(sh *Shipper, base uint64, hasBase bool) bool {
+// AwaitAck observers track a live session, not just finished ones.
+func (r *ResilientShipper) watch(sh *Shipper) {
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		select {
-		case <-r.stop:
+		case <-r.st.stop:
 			sh.Stop() //nolint:errcheck
 			r.fold(sh)
-			return false
+			return
 		case <-sh.Done():
 			r.fold(sh)
-			a, ok := r.Acked()
-			return ok && (!hasBase || a > base)
+			return
 		case <-tick.C:
 			r.fold(sh)
 		}
 	}
 }
 
-// fold merges a session's ack high-water into the supervisor and advances
-// the cross-session retention pin.
+// fold merges a session's ack watermark into the supervisor's, which
+// advances the cross-session retention pin.
 func (r *ResilientShipper) fold(sh *Shipper) {
-	a, ok := sh.Acked()
-	if !ok {
-		return
+	if need, ok := sh.st.watermark(); ok {
+		r.st.ack(need)
 	}
-	r.mu.Lock()
-	if !r.hasAcked || a > r.acked {
-		r.acked, r.hasAcked = a, true
-	}
-	a = r.acked
-	r.mu.Unlock()
-	r.sub.NeedFrom(a + 1)
 }
 
 // Acked returns the high-water acknowledged tick across every session so
 // far, including the live one.
 func (r *ResilientShipper) Acked() (uint64, bool) {
 	r.mu.Lock()
-	a, ok, cur := r.acked, r.hasAcked, r.cur
+	cur := r.cur
 	r.mu.Unlock()
 	if cur != nil {
-		if ca, cok := cur.Acked(); cok && (!ok || ca > a) {
-			a, ok = ca, true
-		}
+		r.fold(cur)
 	}
-	return a, ok
+	need, ok := r.st.watermark()
+	if !ok {
+		return 0, false
+	}
+	return need - 1, true
 }
 
 // Sessions returns how many connection attempts were made.
@@ -360,65 +286,19 @@ func (r *ResilientShipper) Sessions() int {
 
 // Err returns the terminal supervisor error (gave up), nil while running
 // or after Stop.
-func (r *ResilientShipper) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
+func (r *ResilientShipper) Err() error { return r.st.Err() }
 
 // Done is closed when the supervisor has stopped retrying.
-func (r *ResilientShipper) Done() <-chan struct{} { return r.done }
+func (r *ResilientShipper) Done() <-chan struct{} { return r.st.Done() }
 
 // AwaitAck blocks until the standby has acknowledged tick — across however
 // many sessions that takes — the supervisor gives up, or the timeout
-// elapses.
+// elapses. A live session's acks reach the supervisor within one watch
+// poll.
 func (r *ResilientShipper) AwaitAck(tick uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if a, ok := r.Acked(); ok && a >= tick {
-			return nil
-		}
-		r.mu.Lock()
-		err, stopped := r.err, r.stopped
-		r.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return ErrStopped
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replication: tick %d not acknowledged within %v", tick, timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// sleep waits d or until Stop; it reports whether the loop should continue.
-func (r *ResilientShipper) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-r.stop:
-		return false
-	case <-t.C:
-		return true
-	}
+	return r.st.AwaitAck(tick, timeout)
 }
 
 // Stop ends the supervisor and the live session, if any, and joins the
 // loop. Safe to call more than once.
-func (r *ResilientShipper) Stop() error {
-	r.mu.Lock()
-	if !r.stopped {
-		r.stopped = true
-		close(r.stop)
-	}
-	cur := r.cur
-	r.mu.Unlock()
-	if cur != nil {
-		cur.Stop() //nolint:errcheck // joined by the run loop via watch
-	}
-	<-r.done
-	return r.Err()
-}
+func (r *ResilientShipper) Stop() error { return r.st.Stop() }

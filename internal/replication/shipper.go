@@ -1,19 +1,13 @@
 package replication
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/wal"
 )
-
-// ErrStopped reports a shipper shut down by Stop rather than by a stream
-// failure.
-var ErrStopped = errors.New("replication: shipper stopped")
 
 // ShipperOptions configures a primary-side shipper.
 type ShipperOptions struct {
@@ -22,18 +16,6 @@ type ShipperOptions struct {
 	// falls this many ticks behind, which in turn bounds the standby's
 	// replay lag — the warm-failover budget. <=0 means 64.
 	MaxLagTicks int
-	// IdlePoll is the tail reader's fallback poll interval when no
-	// tick-commit signal arrives (e.g. the primary is idle). <=0 means 5ms.
-	IdlePoll time.Duration
-}
-
-func (o *ShipperOptions) defaults() {
-	if o.MaxLagTicks <= 0 {
-		o.MaxLagTicks = 64
-	}
-	if o.IdlePoll <= 0 {
-		o.IdlePoll = 5 * time.Millisecond
-	}
 }
 
 // ShipperStats is a snapshot of a shipper's progress counters.
@@ -53,22 +35,20 @@ type ShipperStats struct {
 
 // Shipper streams a primary engine to one standby: bootstrap snapshot
 // first, then live WAL records tail-followed from the engine's log
-// directory, with ack-bounded in-flight ticks. Start it with StartShipper;
-// it runs until the connection breaks, the engine closes, or Stop.
+// directory, one ftTick frame per record, over an ack-bounded Stream whose
+// watermark is the standby's applied tick plus one. Start it with
+// StartShipper; it runs until the connection breaks, the engine closes, or
+// Stop.
 type Shipper struct {
 	e    *engine.Engine
 	conn net.Conn
-	opts ShipperOptions
-	sub  *engine.TickSub
+	st   *Stream
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	stats   ShipperStats
-	err     error // first stream error (nil after a clean Stop)
-	stopped bool
+	// Main-line frame buffers: the ftTick body and writeFrame's staging.
+	frame, scratch []byte
 
-	stop chan struct{}
-	done chan struct{}
+	mu    sync.Mutex
+	stats ShipperStats // Acked/HasAcked are filled from the stream
 }
 
 // StartShipper attaches a shipper to a live engine and starts streaming to
@@ -77,38 +57,21 @@ type Shipper struct {
 // be started from one goroutine, in either order). The caller must Stop the
 // shipper before closing the engine.
 func StartShipper(e *engine.Engine, conn net.Conn, opts ShipperOptions) (*Shipper, error) {
-	opts.defaults()
+	if opts.MaxLagTicks <= 0 {
+		opts.MaxLagTicks = 64
+	}
 	sub, err := e.SubscribeTicks()
 	if err != nil {
 		return nil, err
 	}
-	s := &Shipper{
-		e:    e,
-		conn: conn,
-		opts: opts,
-		sub:  sub,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	go s.run()
+	s := &Shipper{e: e, conn: conn}
+	s.st = NewStream(conn, sub, opts.MaxLagTicks, s.decodeAck)
+	s.st.Go(s.ship)
 	return s, nil
 }
 
-func (s *Shipper) run() {
-	defer close(s.done)
-	err := s.ship()
-	s.mu.Lock()
-	if s.err == nil && err != nil && !s.stopped {
-		s.err = err
-	}
-	s.mu.Unlock()
-	s.conn.Close() //nolint:errcheck // unblocks the peer; best effort
-	s.sub.Close()
-}
-
 // ship is the shipper's main line: handshake, snapshot bootstrap, then the
-// tail-follow loop.
+// stream's tail-follow loop.
 func (s *Shipper) ship() error {
 	store := s.e.Store()
 	local := hello{
@@ -116,20 +79,7 @@ func (s *Shipper) ship() error {
 		objSize:  uint32(store.ObjSize()),
 		cellSize: 4,
 	}
-	var scratch, rbuf []byte
-	var err error
-	if scratch, err = writeFrame(s.conn, scratch, encodeHello(ftHello, local)); err != nil {
-		return fmt.Errorf("replication: handshake: %w", err)
-	}
-	body, rbuf, err := readFrame(s.conn, rbuf)
-	if err != nil {
-		return fmt.Errorf("replication: handshake: %w", err)
-	}
-	peer, err := decodeHello(ftWelcome, body)
-	if err != nil {
-		return err
-	}
-	if err := local.check(peer); err != nil {
+	if err := greet(s.conn, local); err != nil {
 		return err
 	}
 
@@ -137,7 +87,7 @@ func (s *Shipper) ship() error {
 	// fresh standby (0) gets the full bootstrap; a reconnecting one (v>0)
 	// skips the snapshot and the stream picks up at tick v-1 — its own WAL
 	// and checkpoints already cover everything below.
-	body, rbuf, err = readFrame(s.conn, rbuf)
+	body, _, err := readFrame(s.conn, nil)
 	if err != nil {
 		return fmt.Errorf("replication: resume: %w", err)
 	}
@@ -150,226 +100,116 @@ func (s *Shipper) ship() error {
 	if resume == 0 {
 		// Bootstrap: a consistent image as of nextTick-1, shipped in
 		// chunks. The engine keeps ticking while this streams; the WAL
-		// retains everything from nextTick for us (NeedFrom below).
+		// retains everything from nextTick for us (Open's floor).
 		var snap []byte
 		if nextTick, snap, err = s.e.Snapshot(); err != nil {
 			return err
 		}
-		s.sub.NeedFrom(nextTick)
-		s.mu.Lock()
-		s.stats.StartTick = nextTick
-		s.stats.SnapshotBytes = int64(len(snap))
-		s.mu.Unlock()
-		if scratch, err = sendSnapshot(s.conn, scratch, nextTick, snap); err != nil {
+		s.open(nextTick, len(snap))
+		if s.scratch, err = sendSnapshot(s.conn, s.scratch, nextTick, snap); err != nil {
 			return err
 		}
 	} else {
 		nextTick = resume - 1
-		s.sub.NeedFrom(nextTick)
-		s.mu.Lock()
-		s.stats.StartTick = nextTick
-		s.mu.Unlock()
+		s.open(nextTick, 0)
 	}
 
-	go s.ackLoop()
-
-	// The live stream: tail-follow the WAL, framing every record with
-	// tick >= nextTick. TryNext is non-blocking; on a dry tail we wait for
-	// the engine's tick-commit signal (or the idle poll, which covers
-	// records that were appended before we subscribed). Range installs need
-	// no special casing at the snapshot boundary: they are logged at the
-	// engine's next tick (>= our nextTick), so one sharing the snapshot's
-	// inter-tick window is streamed regardless of which side of the copy it
-	// landed on — and re-applying absolute bytes the snapshot already
-	// contains is idempotent on the standby.
-	tail := wal.NewTailReader(s.e.WALDir(), nextTick)
-	defer tail.Close()
-	var frame []byte
-	for {
-		select {
-		case <-s.stop:
-			return nil
-		default:
-		}
-		tick, payload, ok, err := tail.TryNext()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			select {
-			case <-s.stop:
-				return nil
-			case <-s.sub.C:
-			case <-time.After(s.opts.IdlePoll):
-			}
-			continue
-		}
-		if tick < nextTick {
-			continue // covered by the snapshot
-		}
-		if err := s.waitLag(tick, nextTick); err != nil {
-			return err
-		}
-		frame = tickFrame(frame, tick, payload)
-		if scratch, err = writeFrame(s.conn, scratch, frame); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.stats.TicksShipped++
-		s.stats.BytesShipped += int64(len(frame))
-		s.stats.Shipped, s.stats.HasShipped = tick, true
-		lag := tick - s.stats.Acked
-		hasAcked := s.stats.HasAcked
-		s.mu.Unlock()
-		telTicksShipped.Inc()
-		telBytesShipped.Add(uint64(len(frame)))
-		telShippedTick.Set(int64(tick))
-		if hasAcked {
-			telLagTicks.Set(int64(lag))
-		}
-		// Retention deliberately does NOT advance here: ticks in
-		// (acked, shipped] stay in the primary's log until the standby
-		// acknowledges them (ackLoop), so a severed connection can resume
-		// from the standby's durable watermark instead of re-bootstrapping.
-	}
+	// The live stream. Range installs need no special casing at the
+	// snapshot boundary: they are logged at the engine's next tick (>= the
+	// floor), so one sharing the snapshot's inter-tick window is streamed
+	// regardless of which side of the copy it landed on — and re-applying
+	// absolute bytes the snapshot already contains is idempotent on the
+	// standby.
+	return s.st.Follow(s.e.WALDir(), nextTick, (*tickWriter)(s), nil)
 }
 
-// waitLag blocks until shipping tick would keep the in-flight window within
-// MaxLagTicks, the stream dies, or the shipper stops.
-func (s *Shipper) waitLag(tick, startTick uint64) error {
+// open records the stream's first tick and opens the ack half there.
+func (s *Shipper) open(startTick uint64, snapBytes int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stopped {
-			return ErrStopped
-		}
-		if s.err != nil {
-			return s.err
-		}
-		var inFlight uint64
-		if s.stats.HasAcked {
-			inFlight = tick - s.stats.Acked
-		} else {
-			inFlight = tick - startTick + 1
-		}
-		if inFlight <= uint64(s.opts.MaxLagTicks) {
-			return nil
-		}
-		s.cond.Wait()
-	}
+	s.stats.StartTick = startTick
+	s.stats.SnapshotBytes = int64(snapBytes)
+	s.mu.Unlock()
+	s.st.Open(startTick)
 }
 
-// ackLoop consumes the standby's acknowledgement stream and wakes the lag
-// gate. It owns the connection's read half.
-func (s *Shipper) ackLoop() {
-	var buf []byte
-	for {
-		body, nbuf, err := readFrame(s.conn, buf)
-		if err != nil {
-			s.mu.Lock()
-			if s.err == nil && !s.stopped {
-				s.err = fmt.Errorf("replication: ack stream: %w", err)
-			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		buf = nbuf
-		tick, err := decodeU64(ftAck, body)
-		if err != nil {
-			s.mu.Lock()
-			if s.err == nil {
-				s.err = err
-			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Lock()
-		s.stats.Acked, s.stats.HasAcked = tick, true
-		lag := int64(0)
-		if s.stats.HasShipped && s.stats.Shipped > tick {
-			lag = int64(s.stats.Shipped - tick)
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		telAckedTick.Set(int64(tick))
-		telLagTicks.Set(lag)
-		// Ack-based retention: everything at or below the acked tick is
-		// applied (and durable per the standby's sync policy) on the other
-		// end; only then may the primary's log reclaim it.
-		s.sub.NeedFrom(tick + 1)
+// decodeAck maps the standby's applied-tick ack t to the watermark t+1
+// and publishes the ack and lag gauges.
+func (s *Shipper) decodeAck(body []byte) (uint64, error) {
+	tick, err := decodeU64(ftAck, body)
+	if err != nil {
+		return 0, err
 	}
+	s.mu.Lock()
+	lag := int64(0)
+	if s.stats.HasShipped && s.stats.Shipped > tick {
+		lag = int64(s.stats.Shipped - tick)
+	}
+	s.mu.Unlock()
+	telAckedTick.Set(int64(tick))
+	telLagTicks.Set(lag)
+	return tick + 1, nil
 }
+
+// tickWriter is the shipper's frame encoder: one ftTick frame per record.
+type tickWriter Shipper
+
+// Record ships one log record as an ftTick frame.
+func (w *tickWriter) Record(tick uint64, payload []byte) error {
+	w.frame = tickFrame(w.frame, tick, payload)
+	var err error
+	if w.scratch, err = writeFrame(w.conn, w.scratch, w.frame); err != nil {
+		return err
+	}
+	need, hasAcked := w.st.watermark()
+	w.mu.Lock()
+	w.stats.TicksShipped++
+	w.stats.BytesShipped += int64(len(w.frame))
+	w.stats.Shipped, w.stats.HasShipped = tick, true
+	w.mu.Unlock()
+	telTicksShipped.Inc()
+	telBytesShipped.Add(uint64(len(w.frame)))
+	telShippedTick.Set(int64(tick))
+	if hasAcked {
+		telLagTicks.Set(int64(tick + 1 - need))
+	}
+	return nil
+}
+
+// TickDone is a no-op: the standby applies record by record.
+func (w *tickWriter) TickDone(uint64) error { return nil }
 
 // Stats returns a snapshot of the shipper's counters.
 func (s *Shipper) Stats() ShipperStats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	s.mu.Unlock()
+	st.Acked, st.HasAcked = s.Acked()
+	return st
 }
 
 // Acked returns the standby's high-water applied tick.
 func (s *Shipper) Acked() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats.Acked, s.stats.HasAcked
+	need, ok := s.st.watermark()
+	if !ok {
+		return 0, false
+	}
+	return need - 1, true
 }
 
 // AwaitAck blocks until the standby has acknowledged tick, the stream
 // fails, or the timeout elapses.
 func (s *Shipper) AwaitAck(tick uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	// The cond is woken by every ack; a timer goroutine breaks the wait on
-	// timeout so a dead stream cannot park us forever.
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer timer.Stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stats.HasAcked && s.stats.Acked >= tick {
-			return nil
-		}
-		if s.err != nil {
-			return s.err
-		}
-		if s.stopped {
-			return ErrStopped
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replication: tick %d not acknowledged within %v", tick, timeout)
-		}
-		s.cond.Wait()
-	}
+	return s.st.AwaitAck(tick, timeout)
 }
 
 // Done is closed when the shipper has fully stopped.
-func (s *Shipper) Done() <-chan struct{} { return s.done }
+func (s *Shipper) Done() <-chan struct{} { return s.st.Done() }
 
 // Err returns the stream error that ended the shipper, nil while running or
 // after a clean Stop.
-func (s *Shipper) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+func (s *Shipper) Err() error { return s.st.Err() }
 
 // Stop tears the session down: the connection is closed (the standby sees
 // the stream end and can promote) and the goroutines joined. It returns the
 // first stream error, or nil if the session was healthy.
-func (s *Shipper) Stop() error {
-	s.mu.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stop)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.conn.Close() //nolint:errcheck // unblocks both loops
-	<-s.done
-	return s.Err()
-}
+func (s *Shipper) Stop() error { return s.st.Stop() }

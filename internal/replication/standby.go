@@ -75,12 +75,20 @@ const (
 // when the engine is warm, Done when the stream has ended. Errors surface
 // via Err and Promote.
 func StartStandby(opts engine.Options, conn net.Conn) (*Standby, error) {
+	return startStandby(opts, conn, nil, ResilientOptions{})
+}
+
+// startStandby starts either kind: one session on conn, or (dial set)
+// reconnecting sessions paced by ropts.
+func startStandby(opts engine.Options, conn net.Conn, dial func() (net.Conn, error), ropts ResilientOptions) (*Standby, error) {
 	if err := opts.Table.Validate(); err != nil {
 		return nil, err
 	}
 	sb := &Standby{
 		conn:  conn,
 		opts:  opts,
+		dial:  dial,
+		ropts: ropts,
 		stop:  make(chan struct{}),
 		ready: make(chan struct{}),
 		done:  make(chan struct{}),
@@ -124,25 +132,16 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 		objSize:  uint32(sb.opts.Table.ObjSize),
 		cellSize: uint32(sb.opts.Table.CellSize),
 	}
-	var rbuf, scratch []byte
-	body, rbuf, err := readFrame(conn, rbuf)
-	if err != nil {
-		return fmt.Errorf("replication: handshake: %w", err)
-	}
-	peer, err := decodeHello(ftHello, body)
-	if err != nil {
+	if err := answer(conn, local); err != nil {
 		return err
 	}
-	if err := local.check(peer); err != nil {
-		return &fatalError{err} // geometry never changes; retrying cannot help
-	}
-	if scratch, err = writeFrame(conn, scratch, encodeHello(ftWelcome, local)); err != nil {
-		return fmt.Errorf("replication: handshake: %w", err)
-	}
+	var body, rbuf, scratch []byte
+	var err error
 
 	sb.mu.Lock()
 	e := sb.e
 	sb.mu.Unlock()
+	var covered uint64 // the engine holds every tick below it
 	if e == nil {
 		// Fresh standby: request the bootstrap snapshot, then open the
 		// engine from it (OpenStandby persists it as the bootstrap
@@ -169,30 +168,25 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 		}
 		sb.mu.Unlock()
 		close(sb.ready)
-		// Acknowledge the bootstrap: the snapshot covers every tick below
-		// nextTick and is durably persisted as the standby's first
-		// checkpoint image, so the shipper's ack watermark starts fully
-		// covered — a caught-up standby is observable even when nothing
-		// streams.
-		if nextTick > 0 {
-			if scratch, err = writeFrame(conn, scratch, u64Frame(ftAck, nextTick-1)); err != nil {
-				return err
-			}
-		}
+		covered = nextTick
 	} else {
 		// Reconnect: the engine already holds everything below NextTick
 		// (its own WAL + checkpoints), so skip the snapshot and have the
 		// stream pick up exactly where it cut. The +1 bias distinguishes
 		// "resume at tick 0" from "fresh".
-		next := e.NextTick()
-		if scratch, err = writeFrame(conn, scratch, u64Frame(ftResume, next+1)); err != nil {
+		covered = e.NextTick()
+		if scratch, err = writeFrame(conn, scratch, u64Frame(ftResume, covered+1)); err != nil {
 			return fmt.Errorf("replication: resume: %w", err)
 		}
-		// Re-seed the new session's ack watermark with the durable state.
-		if next > 0 {
-			if scratch, err = writeFrame(conn, scratch, u64Frame(ftAck, next-1)); err != nil {
-				return err
-			}
+	}
+	// Acknowledge what the engine already covers — the bootstrap snapshot,
+	// durably persisted as the standby's first checkpoint image, or a
+	// reconnecting engine's own WAL and checkpoints — so the new session's
+	// ack watermark starts fully covered: a caught-up standby is observable
+	// even when nothing streams.
+	if covered > 0 {
+		if scratch, err = writeFrame(conn, scratch, u64Frame(ftAck, covered-1)); err != nil {
+			return err
 		}
 	}
 
